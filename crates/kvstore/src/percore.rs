@@ -1,17 +1,15 @@
 //! Thread-per-core shared-nothing serving tier.
 //!
-//! [`ThreadedServer`](crate::ThreadedServer) spawns worker threads per
-//! batch and shuttles owned `Request`/`Response` values across channels.
-//! This module is the next order of magnitude, in the seastar/glommio
-//! shape: each shard owns **one long-lived pinned worker** running a
-//! non-blocking event loop that parses RESP in place, executes against its
-//! shard, and writes replies run-to-completion — with **no cross-thread
-//! channels on the request path**.
+//! The seastar/glommio shape: each shard owns **one long-lived pinned
+//! worker** running a non-blocking event loop that parses RESP in place,
+//! executes against its shard through the crate's one command table, and
+//! writes replies run-to-completion — with **no cross-thread channels on
+//! the request path**.
 //!
 //! The invariants:
 //!
 //! - **Connection placement**: a connection belongs to exactly one worker
-//!   (chosen at [`PerCoreServer::connect`] time). All of its request
+//!   (chosen at [`PerCoreServer::connect_to`] time). All of its request
 //!   parsing, execution, and reply encoding happen on that worker. Keys
 //!   that hash to another shard are answered with a Redis-Cluster-style
 //!   `-MOVED <shard>` redirect instead of being forwarded — smart clients
@@ -21,7 +19,9 @@
 //!   ([`ReplyBuf`]) without yielding, locking shared state, or allocating
 //!   per request. The per-connection inbox/outbox `Mutex`es model the
 //!   socket between client and server; they are touched by exactly one
-//!   client thread and one worker.
+//!   client thread and one worker. The admin commands (`PING`, `INFO`,
+//!   `STATS`, `PROBE`) read process-wide state, so any worker answers them
+//!   locally too.
 //! - **Mailboxes for the rare ops only**: `DBSIZE` (cross-shard sum) and
 //!   `BGSAVE`/shutdown coordination travel over an SPSC mailbox mesh —
 //!   each cell written by one thread and drained by one thread. A
@@ -45,8 +45,10 @@ use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use odf_core::{ForkPolicy, Kernel, Process, Result};
+use odf_metrics::Summary;
 
-use crate::resp::{skip_reply, Parsed, RecvBuf, ReplyBuf, MAX_INLINE_ARGS};
+use crate::command::{self, Host, Outcome, ServerOp, SnapshotInfo};
+use crate::resp::{skip_reply, with_argv, Parsed, RecvBuf, ReplyBuf};
 use crate::server::fork_snapshot_child;
 use crate::sharded::{ShardedSnapshot, ShardedStore};
 use crate::store::Store;
@@ -152,6 +154,8 @@ struct Barrier {
 struct SnapshotBox {
     in_flight: u64,
     done: Vec<ShardedSnapshot>,
+    /// Fork-call durations of every snapshot started, for `INFO`.
+    fork_times: Summary,
 }
 
 /// One registered client connection: the inbox/outbox pair models the
@@ -211,28 +215,20 @@ impl Connection {
     /// connection closes). The owning worker unparks the reader right
     /// after flushing replies into the outbox.
     pub fn wait_readable(&self) {
-        loop {
-            if !self
+        let ready = || {
+            !self
                 .shared
                 .outbox
                 .lock()
                 .expect("outbox poisoned")
                 .is_empty()
                 || self.is_closed()
-            {
-                return;
-            }
+        };
+        while !ready() {
             *self.shared.reader.lock().expect("reader poisoned") = Some(std::thread::current());
             // Re-check after registering: the worker may have flushed (and
             // consumed no reader) between our check and the registration.
-            if !self
-                .shared
-                .outbox
-                .lock()
-                .expect("outbox poisoned")
-                .is_empty()
-                || self.is_closed()
-            {
+            if ready() {
                 return;
             }
             std::thread::park_timeout(Duration::from_micros(200));
@@ -296,6 +292,16 @@ impl Shared {
         )
     }
 
+    /// Counts a BGSAVE in flight and hands it to the coordinator of an
+    /// `n`-worker server; `slot` is the requester's mesh slot, and `from`
+    /// and `token` route the acknowledgement back to a client.
+    fn request_bgsave(&self, n: usize, slot: usize, from: Option<usize>, token: u64) {
+        self.snapshots.lock().expect("snapshots poisoned").in_flight += 1;
+        self.mesh
+            .post(ctl_slot(n), slot, Msg::BgsaveReq { from, token });
+        self.wake(ctl_slot(n));
+    }
+
     fn wake(&self, participant: usize) {
         let threads = self.threads.lock().expect("threads poisoned");
         if let Some(t) = threads.get(participant) {
@@ -310,7 +316,6 @@ pub struct PerCoreServer {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     ctl: Option<JoinHandle<()>>,
-    next_conn: AtomicUsize,
     down: bool,
     shards: usize,
 }
@@ -376,7 +381,6 @@ impl PerCoreServer {
             shared,
             workers,
             ctl: Some(ctl),
-            next_conn: AtomicUsize::new(0),
             down: false,
             shards: n,
         })
@@ -401,12 +405,6 @@ impl PerCoreServer {
     /// The serving process.
     pub fn process(&self) -> Arc<Process> {
         self.shared.proc()
-    }
-
-    /// Opens a connection placed round-robin across shards.
-    pub fn connect(&self) -> Connection {
-        let shard = self.next_conn.fetch_add(1, Ordering::Relaxed) % self.shards;
-        self.connect_to(shard)
     }
 
     /// Opens a connection placed on `shard`'s worker.
@@ -435,19 +433,8 @@ impl PerCoreServer {
     /// the fork call only, then serializes the frozen child while serving
     /// continues. Collect results with [`PerCoreServer::wait_snapshots`].
     pub fn bgsave(&self) {
-        {
-            let mut snaps = self.shared.snapshots.lock().expect("snapshots poisoned");
-            snaps.in_flight += 1;
-        }
-        self.shared.mesh.post(
-            ctl_slot(self.shards),
-            ext_slot(self.shards),
-            Msg::BgsaveReq {
-                from: None,
-                token: 0,
-            },
-        );
-        self.shared.wake(ctl_slot(self.shards));
+        let n = self.shards;
+        self.shared.request_bgsave(n, ext_slot(n), None, 0);
     }
 
     /// Blocks until every requested snapshot has materialized, returning
@@ -551,6 +538,10 @@ fn run_bgsave(n: usize, shared: &Shared, proc: &Arc<Process>, from: Option<usize
     // The fork call is the entire stall the serving tier observes.
     let forked = fork_snapshot_child(proc, shared.policy, false);
     shared.barrier.released.store(epoch, Ordering::Release);
+    if let Ok((_, fork_ns, _, _)) = &forked {
+        let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
+        snaps.fork_times.record(*fork_ns as f64);
+    }
     if let Some(w) = from {
         shared
             .mesh
@@ -636,17 +627,56 @@ struct WorkerState {
     shutdown: bool,
 }
 
+/// One worker's fixed context: its shard's store and the shared server
+/// state. It is also the command table's [`Host`]: keys this shard does
+/// not own are answered with a `-MOVED` redirect to their owner.
+struct Shard<'a> {
+    me: usize,
+    /// Shard (and worker) count.
+    n: usize,
+    shared: &'a Shared,
+    proc: &'a Process,
+    store: Store,
+}
+
+impl Host for Shard<'_> {
+    fn process(&self) -> &Process {
+        self.proc
+    }
+
+    fn route(&self, key: &[u8]) -> std::result::Result<Store, usize> {
+        match self.shared.store.shard_for(key) {
+            owner if owner == self.me => Ok(self.store),
+            owner => Err(owner),
+        }
+    }
+
+    fn snapshots(&self) -> SnapshotInfo {
+        let snaps = self.shared.snapshots.lock().expect("snapshots poisoned");
+        SnapshotInfo {
+            fork_policy: self.shared.policy,
+            in_progress: snaps.in_flight > 0,
+            fork_times: snaps.fork_times.clone(),
+        }
+    }
+}
+
 fn worker_main(me: usize, shared: &Shared) {
     let proc = shared.proc();
-    let store = shared.store.shard(me);
-    let n = shared.store.shard_count();
+    let shard = Shard {
+        me,
+        n: shared.store.shard_count(),
+        shared,
+        proc: &proc,
+        store: shared.store.shard(me),
+    };
 
     // Bind this thread's lazily-initialized per-CPU state *before* serving:
     // the set/del pair touches the allocator (magazine stripe), faults
     // pages (trace ring), and crosses the probe points — so none of them
     // initialize in the middle of a latency measurement.
-    let _ = store.set(&proc, b"__percore-warm__", b"w");
-    let _ = store.del(&proc, b"__percore-warm__");
+    let _ = shard.store.set(&proc, b"__percore-warm__", b"w");
+    let _ = shard.store.del(&proc, b"__percore-warm__");
 
     let mut state = WorkerState {
         conns: Vec::new(),
@@ -678,22 +708,21 @@ fn worker_main(me: usize, shared: &Shared) {
         shared.mesh.drain_row(me, &mut row);
         for (_, msg) in row.drain(..) {
             progressed = true;
-            handle_msg(me, shared, &proc, store, &mut state, msg, &mut quiesce_seen);
+            handle_msg(&shard, &mut state, msg, &mut quiesce_seen);
         }
 
         // The request path: parse → execute → reply, run to completion.
         for i in 0..state.conns.len() {
-            progressed |= pump_conn(me, n, shared, &proc, store, &mut state, i, &mut args);
+            progressed |= pump_conn(&shard, &mut state, i, &mut args);
         }
 
         if quiesce_seen && !state.quiesced {
             // All inboxes were drained of complete frames this iteration;
             // from here this worker issues no new cross-shard requests.
             state.quiesced = true;
-            shared
-                .mesh
-                .post(ctl_slot(n), me, Msg::QuiesceAck { from: me });
-            shared.wake(ctl_slot(n));
+            let ctl = ctl_slot(shard.n);
+            shared.mesh.post(ctl, me, Msg::QuiesceAck { from: me });
+            shared.wake(ctl);
             progressed = true;
         }
 
@@ -718,38 +747,27 @@ fn worker_main(me: usize, shared: &Shared) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_msg(
-    me: usize,
-    shared: &Shared,
-    proc: &Arc<Process>,
-    store: Store,
-    state: &mut WorkerState,
-    msg: Msg,
-    quiesce_seen: &mut bool,
-) {
+fn handle_msg(shard: &Shard, state: &mut WorkerState, msg: Msg, quiesce_seen: &mut bool) {
+    let shared = shard.shared;
     match msg {
         Msg::LenReq { from, token } => {
-            let count = store.len(proc).unwrap_or(0);
-            shared.mesh.post(from, me, Msg::LenReply { token, count });
+            let count = shard.store.len(shard.proc).unwrap_or(0);
+            shared
+                .mesh
+                .post(from, shard.me, Msg::LenReply { token, count });
             shared.wake(from);
         }
         Msg::LenReply { token, count } => {
-            let done = {
-                let op = state.pending.get_mut(&token).expect("pending len op");
-                let PendingKind::Len { remaining, sum } = &mut op.kind else {
-                    panic!("token {token} is not a DBSIZE op");
-                };
-                *sum += count;
-                *remaining -= 1;
-                *remaining == 0
+            let op = state.pending.get_mut(&token).expect("pending len op");
+            let PendingKind::Len { remaining, sum } = &mut op.kind else {
+                panic!("token {token} is not a DBSIZE op");
             };
-            if done {
-                let op = state.pending.remove(&token).expect("pending len op");
-                let PendingKind::Len { sum, .. } = op.kind else {
-                    unreachable!();
-                };
-                state.conns[op.conn].reply.complete(op.reply_token, |buf| {
+            *sum += count;
+            *remaining -= 1;
+            if *remaining == 0 {
+                let (sum, conn, reply_token) = (*sum, op.conn, op.reply_token);
+                state.pending.remove(&token);
+                state.conns[conn].reply.complete(reply_token, |buf| {
                     let _ = write!(buf, ":{sum}\r\n");
                 });
             }
@@ -766,7 +784,7 @@ fn handle_msg(
             let op = state.pending.remove(&token).expect("pending bgsave op");
             assert!(matches!(op.kind, PendingKind::Bgsave));
             state.conns[op.conn].reply.complete(op.reply_token, |buf| {
-                buf.extend_from_slice(b"+Background saving started\r\n");
+                let _ = write!(buf, "+{}\r\n", command::BGSAVE_STARTED);
             });
         }
         Msg::Quiesce => *quiesce_seen = true,
@@ -777,13 +795,8 @@ fn handle_msg(
 
 /// Drains one connection's inbox, executes every complete frame, and
 /// flushes ready replies to the outbox. Returns whether anything happened.
-#[allow(clippy::too_many_arguments)]
 fn pump_conn(
-    me: usize,
-    n: usize,
-    shared: &Shared,
-    proc: &Arc<Process>,
-    store: Store,
+    shard: &Shard,
     state: &mut WorkerState,
     conn_index: usize,
     args: &mut Vec<(usize, usize)>,
@@ -810,7 +823,7 @@ fn pump_conn(
                     progressed = true;
                 }
                 Parsed::Cmd { used } => {
-                    execute_command(me, n, shared, proc, store, state, conn_index, args);
+                    execute_command(shard, state, conn_index, args);
                     state.conns[conn_index].rx.consume(used);
                     progressed = true;
                 }
@@ -832,210 +845,59 @@ fn pump_conn(
 }
 
 /// Executes one parsed command (`args` ranges into the connection's
-/// `RecvBuf`) against this worker's shard, run to completion.
-#[allow(clippy::too_many_arguments)]
+/// `RecvBuf`) through the command table, run to completion; only the
+/// cross-shard `DBSIZE` and `BGSAVE` go over the mailbox mesh.
 fn execute_command(
-    me: usize,
-    n: usize,
-    shared: &Shared,
-    proc: &Arc<Process>,
-    store: Store,
+    shard: &Shard,
     state: &mut WorkerState,
     conn_index: usize,
     args: &[(usize, usize)],
 ) {
-    if args.is_empty() {
-        state.conns[conn_index].reply.error("ERR empty command");
-        return;
-    }
-    if args.len() > MAX_INLINE_ARGS {
-        state.conns[conn_index]
-            .reply
-            .error("ERR wrong number of arguments");
-        return;
-    }
-
-    // Split-borrow the worker state: the connection's rx (read-only arg
-    // slices) and reply (written), plus the pending-op table.
     let WorkerState {
         conns,
         pending,
         next_token,
         ..
     } = state;
-    let conn = &mut conns[conn_index];
-    let mut argv: [&[u8]; MAX_INLINE_ARGS] = [b""; MAX_INLINE_ARGS];
-    for (slot, &range) in argv.iter_mut().zip(args.iter()) {
-        *slot = conn.rx.arg(range);
-    }
-    let argv = &argv[..args.len()];
-    let (&name, rest) = argv.split_first().expect("non-empty");
-    let mut upper = [0u8; 16];
-    let too_long = name.len() > upper.len();
-    for (dst, &src) in upper.iter_mut().zip(name) {
-        *dst = src.to_ascii_uppercase();
-    }
-    let upper = &upper[..name.len().min(16)];
-
-    let reply = &mut conn.reply;
-    // Data commands belong to this shard or get a smart-client redirect.
-    let route = |key: &[u8], reply: &mut ReplyBuf| -> bool {
-        let shard = shared.store.shard_for(key);
-        if shard == me {
-            return true;
-        }
-        reply.error(&format!("MOVED {shard}"));
-        false
-    };
-    let vm_err = |e: odf_core::VmError, reply: &mut ReplyBuf| {
-        reply.error(&format!("ERR {e}"));
-    };
-
-    if too_long {
-        unknown(name, reply);
+    let WorkerConn { rx, reply, .. } = &mut conns[conn_index];
+    let outcome = with_argv(rx, args, |argv| command::execute(shard, argv, reply));
+    let Outcome::Server(op) = outcome else {
         return;
-    }
-    match upper {
-        b"PING" => reply.simple("PONG"),
-        b"SET" => match rest {
-            [key, value] => {
-                if route(key, reply) {
-                    match store.set(proc, key, value) {
-                        Ok(()) => reply.simple("OK"),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
+    };
+    let Shard { me, n, shared, .. } = *shard;
+    // The cross-shard ops: reserve the reply slot so younger replies queue
+    // behind it, and complete it when the mesh answers.
+    let reply_token = reply.reserve_pending();
+    *next_token += 1;
+    let token = *next_token;
+    let kind = match op {
+        // Every shard counts itself, this one included: its own request
+        // comes back through the mesh on the next loop iteration.
+        ServerOp::Dbsize => {
+            for peer in 0..n {
+                shared.mesh.post(peer, me, Msg::LenReq { from: me, token });
+                shared.wake(peer);
             }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"GET" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.get(proc, key) {
-                        Ok(v) => reply.bulk(v.as_deref()),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"DEL" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.del(proc, key) {
-                        Ok(existed) => reply.integer(i64::from(existed)),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"EXISTS" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.exists(proc, key) {
-                        Ok(e) => reply.integer(i64::from(e)),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"INCR" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.incr(proc, key) {
-                        Ok(v) => reply.integer(v),
-                        Err(_) => reply.error("ERR value is not an integer or out of range"),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"APPEND" => match rest {
-            [key, suffix] => {
-                if route(key, reply) {
-                    match store.append(proc, key, suffix) {
-                        Ok(len) => reply.integer(len as i64),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"DBSIZE" => {
-            // The cross-shard op: reserve the reply slot (ordering), count
-            // locally, and ask every peer over the mailbox mesh.
-            let reply_token = reply.reserve_pending();
-            let local = store.len(proc).unwrap_or(0);
-            if n == 1 {
-                reply.complete(reply_token, |buf| {
-                    let _ = write!(buf, ":{local}\r\n");
-                });
-            } else {
-                *next_token += 1;
-                let token = *next_token;
-                pending.insert(
-                    token,
-                    PendingOp {
-                        conn: conn_index,
-                        reply_token,
-                        kind: PendingKind::Len {
-                            remaining: n - 1,
-                            sum: local,
-                        },
-                    },
-                );
-                for peer in (0..n).filter(|&p| p != me) {
-                    shared.mesh.post(peer, me, Msg::LenReq { from: me, token });
-                    shared.wake(peer);
-                }
+            PendingKind::Len {
+                remaining: n,
+                sum: 0,
             }
         }
-        b"BGSAVE" => {
-            let reply_token = reply.reserve_pending();
-            *next_token += 1;
-            let token = *next_token;
-            pending.insert(
-                token,
-                PendingOp {
-                    conn: conn_index,
-                    reply_token,
-                    kind: PendingKind::Bgsave,
-                },
-            );
-            {
-                let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
-                snaps.in_flight += 1;
-            }
-            shared.mesh.post(
-                ctl_slot(n),
-                me,
-                Msg::BgsaveReq {
-                    from: Some(me),
-                    token,
-                },
-            );
-            shared.wake(ctl_slot(n));
+        ServerOp::Bgsave => {
+            shared.request_bgsave(n, me, Some(me), token);
+            PendingKind::Bgsave
         }
-        b"STATS" => match rest {
-            // Kernel counters are process-global and thread-safe; no
-            // cross-shard coordination needed to render them.
-            [] => reply.bulk(Some(proc.kernel().metrics_prometheus().as_bytes())),
-            [fmt] if fmt.eq_ignore_ascii_case(b"json") => {
-                reply.bulk(Some(proc.kernel().metrics_json().as_bytes()));
-            }
-            _ => reply.error("ERR wrong number of arguments"),
+    };
+    // Mesh replies are handled on this thread, so registering after the
+    // posts cannot miss them.
+    pending.insert(
+        token,
+        PendingOp {
+            conn: conn_index,
+            reply_token,
+            kind,
         },
-        _ => unknown(name, reply),
-    }
-}
-
-fn unknown(name: &[u8], reply: &mut ReplyBuf) {
-    reply.error(&format!(
-        "ERR unknown command '{}'",
-        String::from_utf8_lossy(name)
-    ));
+    );
 }
 
 #[cfg(test)]

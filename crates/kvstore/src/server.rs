@@ -8,6 +8,8 @@ use odf_core::{ForkPolicy, Kernel, Process, Result};
 use odf_metrics::{Stopwatch, Summary};
 use odf_snapshot::{capture_delta, capture_full};
 
+use crate::command::{self, Host, Outcome, ServerOp, SnapshotInfo};
+use crate::resp::ReplyBuf;
 use crate::store::Store;
 
 /// Server configuration.
@@ -163,34 +165,6 @@ impl Server {
         self.store.get(&self.proc, key)
     }
 
-    /// Handles a DEL request.
-    pub fn del(&mut self, key: &[u8]) -> Result<bool> {
-        let existed = self.store.del(&self.proc, key)?;
-        if existed {
-            self.note_dirty()?;
-        }
-        Ok(existed)
-    }
-
-    /// Handles an EXISTS request.
-    pub fn exists(&mut self, key: &[u8]) -> Result<bool> {
-        self.store.exists(&self.proc, key)
-    }
-
-    /// Handles an INCR request.
-    pub fn incr(&mut self, key: &[u8]) -> Result<i64> {
-        let v = self.store.incr(&self.proc, key)?;
-        self.note_dirty()?;
-        Ok(v)
-    }
-
-    /// Handles an APPEND request.
-    pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<usize> {
-        let n = self.store.append(&self.proc, key, suffix)?;
-        self.note_dirty()?;
-        Ok(n)
-    }
-
     fn note_dirty(&mut self) -> Result<()> {
         self.dirty += 1;
         if self.dirty >= self.config.snapshot_every {
@@ -264,90 +238,46 @@ impl Server {
         self.fork_times.count()
     }
 
-    /// Kernel + trace metrics in Prometheus text exposition format (the
-    /// `STATS` command payload).
-    pub fn metrics_prometheus(&self) -> String {
-        self.proc.kernel().metrics_prometheus()
-    }
-
-    /// Kernel + trace metrics as one JSON object (`STATS JSON`).
-    pub fn metrics_json(&self) -> String {
-        self.proc.kernel().metrics_json()
-    }
-
-    /// Starts a fresh metrics window (`STATS RESET`): subsequent `STATS`
-    /// reads report counters since this call; the trace rings are cleared.
-    pub fn reset_metrics_window(&self) {
-        self.proc.kernel().reset_metrics_window();
-    }
-
-    /// Redis-`INFO`-style report. `section` filters to one section
-    /// (case-insensitive); `None` renders all of them.
-    ///
-    /// Sections: `server` (process table, fork policy), `memory`
-    /// (occupancy plus this process's smaps totals), `persistence`
-    /// (snapshot fork latencies), `stats` (every kernel counter), and —
-    /// when tracing is enabled — `trace` (per-event-class latency table).
-    pub fn info(&self, section: Option<&str>) -> String {
-        let kernel = self.proc.kernel();
-        let smaps = self.proc.smaps();
-        let mut sections: Vec<(&str, String)> = Vec::new();
-        sections.push((
-            "server",
-            format!(
-                "processes:{}\r\nfork_policy:{:?}\r\n",
-                kernel.process_count(),
-                self.config.fork_policy
-            ),
-        ));
-        sections.push((
-            "memory",
-            format!(
-                "used_memory:{}\r\ntotal_memory:{}\r\nrss_bytes:{}\r\nshared_bytes:{}\r\nprivate_bytes:{}\r\nshared_pt_tables:{}\r\n",
-                kernel.total_bytes() - kernel.free_bytes(),
-                kernel.total_bytes(),
-                smaps.rss(),
-                smaps.shared(),
-                smaps.private(),
-                smaps.shared_tables(),
-            ),
-        ));
-        let f = &self.fork_times;
-        sections.push((
-            "persistence",
-            format!(
-                "bgsave_in_progress:{}\r\nsnapshots_started:{}\r\nlatest_fork_usec:{}\r\nmean_fork_usec:{}\r\n",
-                u64::from(!self.pending.is_empty()),
-                self.snapshots_started(),
-                (f.max() / 1_000.0) as u64,
-                (f.mean() / 1_000.0) as u64,
-            ),
-        ));
-        let stats = kernel.stats();
-        let mut body = String::new();
-        for (name, value) in stats.vm.fields() {
-            body.push_str(&format!("vm_{name}:{value}\r\n"));
-        }
-        for (name, value) in stats.pool.fields() {
-            body.push_str(&format!("pool_{name}:{value}\r\n"));
-        }
-        sections.push(("stats", body));
-        if odf_trace::enabled() {
-            let summary = odf_trace::TraceSummary::build(&odf_trace::snapshot());
-            sections.push(("trace", summary.render_text().replace('\n', "\r\n")));
-        }
-        let mut out = String::new();
-        for (name, body) in sections {
-            if let Some(want) = section {
-                if !want.eq_ignore_ascii_case(name) {
-                    continue;
-                }
+    /// Executes one RESP command (`argv[0]` is its name), writing the reply
+    /// into `out`. The command table does the work; this server adds only
+    /// its changed-key count — a write that crosses `snapshot_every` forks
+    /// a snapshot here, on the serving thread — and its own `DBSIZE` and
+    /// `BGSAVE`.
+    pub fn execute(&mut self, argv: &[&[u8]], out: &mut ReplyBuf) {
+        match command::execute(&*self, argv, out) {
+            Outcome::Done => {}
+            // The write is already acknowledged; like Redis, a failed
+            // automatic snapshot does not fail the write that triggered it.
+            Outcome::Changed => {
+                let _ = self.note_dirty();
             }
-            let mut title: String = name.to_string();
-            title[..1].make_ascii_uppercase();
-            out.push_str(&format!("# {title}\r\n{body}\r\n"));
+            Outcome::Server(ServerOp::Dbsize) => match self.store.len(&self.proc) {
+                Ok(n) => out.integer(n as i64),
+                Err(e) => command::vm_error(e, out),
+            },
+            Outcome::Server(ServerOp::Bgsave) => match self.bgsave() {
+                Ok(()) => out.simple(command::BGSAVE_STARTED),
+                Err(e) => command::vm_error(e, out),
+            },
         }
-        out
+    }
+}
+
+impl Host for Server {
+    fn process(&self) -> &Process {
+        &self.proc
+    }
+
+    fn route(&self, _key: &[u8]) -> std::result::Result<Store, usize> {
+        Ok(self.store)
+    }
+
+    fn snapshots(&self) -> SnapshotInfo {
+        SnapshotInfo {
+            fork_policy: self.config.fork_policy,
+            in_progress: !self.pending.is_empty(),
+            fork_times: self.fork_times.clone(),
+        }
     }
 }
 
@@ -366,13 +296,18 @@ mod tests {
         }
     }
 
+    /// Serves one command over the wire path, returning the raw reply.
+    fn run(s: &mut Server, parts: &[&[u8]]) -> Vec<u8> {
+        crate::resp::serve_stream(s, &crate::resp::encode_command(parts))
+    }
+
     #[test]
     fn serves_requests() {
         let k = Kernel::new(64 << 20);
         let mut s = Server::new(&k, config(ForkPolicy::Classic, u64::MAX)).unwrap();
         s.set(b"a", b"1").unwrap();
         assert_eq!(s.get(b"a").unwrap().unwrap(), b"1");
-        assert!(s.del(b"a").unwrap());
+        assert_eq!(run(&mut s, &[b"DEL", b"a"]), b":1\r\n");
         assert_eq!(s.get(b"a").unwrap(), None);
     }
 
@@ -394,13 +329,13 @@ mod tests {
     fn incr_and_append_count_as_changes() {
         let k = Kernel::new(64 << 20);
         let mut s = Server::new(&k, config(ForkPolicy::OnDemand, 4)).unwrap();
-        s.incr(b"a").unwrap();
-        s.incr(b"a").unwrap();
-        s.append(b"b", b"x").unwrap();
+        run(&mut s, &[b"INCR", b"a"]);
+        run(&mut s, &[b"INCR", b"a"]);
+        run(&mut s, &[b"APPEND", b"b", b"x"]);
         assert_eq!(s.snapshots_started(), 0);
-        s.append(b"b", b"y").unwrap();
+        run(&mut s, &[b"APPEND", b"b", b"y"]);
         assert_eq!(s.snapshots_started(), 1);
-        assert!(s.exists(b"a").unwrap());
+        assert_eq!(run(&mut s, &[b"EXISTS", b"a"]), b":1\r\n");
         s.wait_snapshots();
     }
 

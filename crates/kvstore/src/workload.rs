@@ -13,6 +13,7 @@ use odf_metrics::{Histogram, Stopwatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::command::{self, KeyOp, Op};
 use crate::percore::PerCoreServer;
 use crate::resp::{encode_command, skip_reply};
 use crate::server::Server;
@@ -111,6 +112,7 @@ pub struct PerCoreReport {
 /// each loading only the keys its shard owns.
 pub fn preload_percore(server: &PerCoreServer, config: &WorkloadConfig) {
     let value = vec![0xABu8; config.value_size];
+    let set = command::name(Op::Key(KeyOp::Set));
     let conns: Vec<_> = (0..server.shard_count())
         .map(|s| server.connect_to(s))
         .collect();
@@ -119,7 +121,7 @@ pub fn preload_percore(server: &PerCoreServer, config: &WorkloadConfig) {
     for i in 0..config.key_space {
         let key = key_bytes(i);
         let shard = server.shard_for(&key);
-        conns[shard].send(&encode_command(&[b"SET", &key, &value]));
+        conns[shard].send(&encode_command(&[set, &key, &value]));
         in_flight[shard] += 1;
         if in_flight[shard] >= 256 {
             out.clear();
@@ -156,6 +158,10 @@ pub fn run_percore(
     let per_conn = total_requests / nconns as u64;
     let progress = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
+    let (set, get) = (
+        command::name(Op::Key(KeyOp::Set)),
+        command::name(Op::Key(KeyOp::Get)),
+    );
 
     // Pre-route the key space: connection c (on shard s) draws only from
     // keys s owns, so every data command is shard-local.
@@ -191,9 +197,9 @@ pub fn run_percore(
                     for _ in 0..n {
                         let key = &keys[rng.gen_range(0..keys.len())];
                         if rng.gen_bool(config.set_ratio) {
-                            batch.extend_from_slice(&encode_command(&[b"SET", key, &value]));
+                            batch.extend_from_slice(&encode_command(&[set, key, &value]));
                         } else {
-                            batch.extend_from_slice(&encode_command(&[b"GET", key]));
+                            batch.extend_from_slice(&encode_command(&[get, key]));
                         }
                     }
                     let bsw = Stopwatch::start();

@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 
 use odf_core::Kernel;
-use odf_kvstore::{dispatch, encode_command, RespValue, Server, ServerConfig};
+use odf_kvstore::{encode_command, serve_stream, RespValue, Server, ServerConfig};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -30,10 +30,12 @@ fn server() -> Server {
     .unwrap()
 }
 
+/// Serves one command over the wire path and decodes its single reply.
 fn run(s: &mut Server, parts: &[&[u8]]) -> RespValue {
-    let wire = encode_command(parts);
-    let (v, _) = RespValue::decode(&wire).unwrap();
-    dispatch(s, &v)
+    let wire = serve_stream(s, &encode_command(parts));
+    let (v, used) = RespValue::decode(&wire).expect("one complete reply");
+    assert_eq!(used, wire.len(), "exactly one reply");
+    v
 }
 
 fn bulk_string(v: RespValue) -> String {

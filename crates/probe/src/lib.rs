@@ -1090,6 +1090,7 @@ mod tests {
 
     #[test]
     fn engine_attach_dispatch_read_detach() {
+        let _maps = crate::map::tests::lock_maps();
         let e = ProbeEngine::new();
         let mut spec = ProbeSpec::new("faults_by_pid", ProbePoint::Fault, ProgramKind::LatHist);
         spec.key = Keying::Pid;
@@ -1130,6 +1131,7 @@ mod tests {
 
     #[test]
     fn filters_reject_and_count() {
+        let _maps = crate::map::tests::lock_maps();
         let e = ProbeEngine::new();
         let spec = ProbeSpec::parse(&["slow", "fault", "count_by", "pid=7", "minlat=500"]).unwrap();
         e.attach(spec).unwrap();
@@ -1143,6 +1145,7 @@ mod tests {
 
     #[test]
     fn kind_filter_uses_point_labels() {
+        let _maps = crate::map::tests::lock_maps();
         let e = ProbeEngine::new();
         let spec = ProbeSpec::parse(&["cowonly", "fault", "count_by", "kind=cow_data"]).unwrap();
         e.attach(spec).unwrap();
@@ -1159,6 +1162,7 @@ mod tests {
 
     #[test]
     fn detach_all_flips_active_off_and_drops_maps() {
+        let _maps = crate::map::tests::lock_maps();
         let live_before = ShardedMap::live_maps();
         let e = ProbeEngine::new();
         for (i, point) in [ProbePoint::Fault, ProbePoint::Fork, ProbePoint::Evict]
@@ -1184,6 +1188,7 @@ mod tests {
 
     #[test]
     fn reset_all_clears_aggregates_but_keeps_probes() {
+        let _maps = crate::map::tests::lock_maps();
         let e = ProbeEngine::new();
         let mut spec = ProbeSpec::new("w", ProbePoint::Evict, ProgramKind::Watermark);
         spec.key = Keying::Order;
@@ -1201,6 +1206,7 @@ mod tests {
 
     #[test]
     fn prometheus_export_is_well_formed() {
+        let _maps = crate::map::tests::lock_maps();
         let e = ProbeEngine::new();
         let mut spec = ProbeSpec::new("lh", ProbePoint::Fault, ProgramKind::LatHist);
         spec.key = Keying::Pid;

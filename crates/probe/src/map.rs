@@ -144,11 +144,20 @@ impl Drop for ShardedMap {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the unit tests that create or drop maps: two of them
+    /// assert on the process-wide live-map count, which a map made by a
+    /// test running in parallel would move.
+    pub(crate) fn lock_maps() -> std::sync::MutexGuard<'static, ()> {
+        static MAPS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        MAPS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn update_creates_and_aggregates() {
+        let _maps = lock_maps();
         let m = ShardedMap::new(DEFAULT_MAX_KEYS);
         for _ in 0..5 {
             m.update(42, || "k42".into(), |s| s.hits += 1);
@@ -164,6 +173,7 @@ mod tests {
 
     #[test]
     fn cardinality_is_bounded_with_least_hit_eviction() {
+        let _maps = lock_maps();
         let m = ShardedMap::new(16);
         // Two hits make key 0 hot; a flood of cold keys must never evict
         // more than the bound allows and must keep the map at cap.
@@ -178,6 +188,7 @@ mod tests {
 
     #[test]
     fn snapshot_orders_hottest_first_deterministically() {
+        let _maps = lock_maps();
         let m = ShardedMap::new(DEFAULT_MAX_KEYS);
         for (k, n) in [(1u64, 3u64), (2, 7), (3, 3)] {
             for _ in 0..n {
@@ -191,6 +202,7 @@ mod tests {
 
     #[test]
     fn live_map_accounting_balances() {
+        let _maps = lock_maps();
         let before = ShardedMap::live_maps();
         {
             let _a = ShardedMap::new(8);
@@ -202,6 +214,7 @@ mod tests {
 
     #[test]
     fn clear_empties_but_keeps_capacity_semantics() {
+        let _maps = lock_maps();
         let m = ShardedMap::new(8);
         for k in 0..100u64 {
             m.update(k, || format!("k{k}"), |s| s.hits += 1);

@@ -162,6 +162,12 @@ struct DaemonCounters {
 }
 
 /// A point-in-time copy of the daemon's activity counters.
+///
+/// The counters may lag the daemon's effects: a scan pass frees frames
+/// before its eviction count is added, so a reader that sees the pool
+/// recover can still read the old count. Read after
+/// [`ReclaimDaemon::stop`] — which joins the daemon thread — for totals
+/// that include every pass the daemon ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Times the daemon woke (timer or kick).
@@ -244,7 +250,8 @@ impl ReclaimDaemon {
         self.policy_name
     }
 
-    /// Activity counters so far.
+    /// Activity counters so far (they may lag the daemon's effects; see
+    /// [`DaemonStats`]).
     pub fn stats(&self) -> DaemonStats {
         DaemonStats {
             wakeups: self.shared.counters.wakeups.load(Ordering::Relaxed),
@@ -427,7 +434,7 @@ mod tests {
         }
         assert!(machine.pool().free_frames() < marks.low);
 
-        let daemon = ReclaimDaemon::spawn(
+        let mut daemon = ReclaimDaemon::spawn(
             Arc::clone(&machine),
             Box::new(FifoPolicy),
             DaemonConfig {
@@ -447,13 +454,14 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+        // Joining the daemon orders every counter update before the read.
+        daemon.stop();
         assert!(daemon.stats().pages_evicted > 0);
         assert!(machine.swap().used_slots() > 0);
         // The data survives in swap.
         for check in 0..pg {
             assert_eq!(mm.read_u64(a + check * PG).unwrap(), check);
         }
-        drop(daemon);
     }
 
     #[test]
