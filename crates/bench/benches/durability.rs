@@ -24,7 +24,7 @@
 use odf_bench as bench;
 use odf_core::{ForkPolicy, Kernel};
 use odf_durability::{DiskFs, FsyncPolicy, StorageFs, WalConfig};
-use odf_kvstore::{DurableConfig, DurableServer};
+use odf_kvstore::{DurableConfig, DurableServer, ReplyBuf};
 use odf_metrics::{Histogram, Stopwatch};
 use std::sync::Arc;
 
@@ -94,11 +94,22 @@ fn run_config(
     let mut acked_durable = 0u64;
     {
         let (mut srv, _) = DurableServer::open(&kernel, Arc::clone(&fs), config).expect("open");
+        let mut reply = ReplyBuf::new();
+        let mut replies = Vec::new();
+        let mut set = |srv: &mut DurableServer, key: &[u8]| {
+            let ack = srv
+                .execute(&[b"SET", key, &value], &mut reply)
+                .expect("set");
+            replies.clear();
+            reply.flush_into(&mut replies);
+            assert_eq!(replies, b"+OK\r\n");
+            ack.expect("SET is journaled")
+        };
         let wall = Stopwatch::start();
         for i in 0..writes {
             let key = format!("key:{:06}", i % 4096);
             let one = Stopwatch::start();
-            let ack = srv.set(key.as_bytes(), &value).expect("set");
+            let ack = set(&mut srv, key.as_bytes());
             write_hist.record(one.elapsed_ns());
             if ack.durable {
                 acked_durable += 1;
@@ -108,8 +119,7 @@ fn run_config(
         // An untimed tail of writes past the last snapshot, so the
         // recovery measurement includes genuine WAL replay work.
         for i in 0..writes / 64 {
-            srv.set(format!("tail:{i}").as_bytes(), &value)
-                .expect("set");
+            set(&mut srv, format!("tail:{i}").as_bytes());
         }
         // Make the tail durable so recovery must honor all of it.
         srv.sync().expect("sync");

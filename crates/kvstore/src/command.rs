@@ -20,7 +20,7 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::ops::RangeInclusive;
 
-use odf_core::{ForkPolicy, Process};
+use odf_core::{ForkPolicy, Process, VmError};
 use odf_metrics::Summary;
 
 use crate::resp::ReplyBuf;
@@ -35,6 +35,13 @@ pub(crate) enum KeyOp {
     Exists,
     Incr,
     Append,
+}
+
+impl KeyOp {
+    /// Whether the command writes its key.
+    fn writes(self) -> bool {
+        !matches!(self, KeyOp::Get | KeyOp::Exists)
+    }
 }
 
 /// An admin command.
@@ -123,31 +130,49 @@ pub(crate) enum Outcome {
     Done,
     /// The reply is written and a write changed the keyspace.
     Changed,
+    /// A key-local command failed in the store; the error reply is written.
+    Failed(VmError),
     /// A server-specific command with valid arity; the caller executes it
     /// and writes the reply.
     Server(ServerOp),
+}
+
+/// Finds the table entry named by `argv[0]` (matched case-insensitively)
+/// and checks its arity; `Err` is the text of the error reply.
+fn lookup(argv: &[&[u8]]) -> Result<Op, String> {
+    let Some(&name) = argv.first() else {
+        return Err("ERR empty command".into());
+    };
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name.eq_ignore_ascii_case(name)) else {
+        return Err(format!(
+            "ERR unknown command '{}'",
+            String::from_utf8_lossy(name)
+        ));
+    };
+    if !cmd.arity.contains(&argv.len()) {
+        return Err("ERR wrong number of arguments".into());
+    }
+    Ok(cmd.op)
+}
+
+/// Whether `argv` is a key-local write with valid arity: the commands a
+/// durable tier journals before it executes them.
+pub(crate) fn is_write(argv: &[&[u8]]) -> bool {
+    matches!(lookup(argv), Ok(Op::Key(op)) if op.writes())
 }
 
 /// Executes one command (`argv[0]` is its name, matched case-insensitively),
 /// writing the reply into `out`: looks the name up, checks arity, and runs
 /// key-local and admin commands against `host`.
 pub(crate) fn execute(host: &impl Host, argv: &[&[u8]], out: &mut ReplyBuf) -> Outcome {
-    let Some(&name) = argv.first() else {
-        out.error("ERR empty command");
-        return Outcome::Done;
+    let op = match lookup(argv) {
+        Ok(op) => op,
+        Err(msg) => {
+            out.error(&msg);
+            return Outcome::Done;
+        }
     };
-    let Some(cmd) = COMMANDS.iter().find(|c| c.name.eq_ignore_ascii_case(name)) else {
-        out.error(&format!(
-            "ERR unknown command '{}'",
-            String::from_utf8_lossy(name)
-        ));
-        return Outcome::Done;
-    };
-    if !cmd.arity.contains(&argv.len()) {
-        out.error("ERR wrong number of arguments");
-        return Outcome::Done;
-    }
-    match cmd.op {
+    match op {
         Op::Key(op) => match host.route(argv[1]) {
             Ok(store) => key_op(op, host.process(), store, argv, out),
             Err(owner) => {
@@ -164,8 +189,16 @@ pub(crate) fn execute(host: &impl Host, argv: &[&[u8]], out: &mut ReplyBuf) -> O
 }
 
 /// Writes `-ERR <e>` for a simulated-memory failure.
-pub(crate) fn vm_error(e: odf_core::VmError, out: &mut ReplyBuf) {
+pub(crate) fn vm_error(e: VmError, out: &mut ReplyBuf) {
     out.error(&format!("ERR {e}"));
+}
+
+/// `DBSIZE` for a tier that serves one store.
+pub(crate) fn dbsize(proc: &Process, store: Store, out: &mut ReplyBuf) {
+    match store.len(proc) {
+        Ok(n) => out.integer(n as i64),
+        Err(e) => vm_error(e, out),
+    }
 }
 
 fn key_op(op: KeyOp, proc: &Process, store: Store, argv: &[&[u8]], out: &mut ReplyBuf) -> Outcome {
@@ -187,16 +220,10 @@ fn key_op(op: KeyOp, proc: &Process, store: Store, argv: &[&[u8]], out: &mut Rep
             out.integer(i64::from(e));
             false
         }),
-        KeyOp::Incr => match store.incr(proc, key) {
-            Ok(v) => {
-                out.integer(v);
-                Ok(true)
-            }
-            Err(_) => {
-                out.error("ERR value is not an integer or out of range");
-                Ok(false)
-            }
-        },
+        KeyOp::Incr => store.incr(proc, key).map(|v| {
+            out.integer(v);
+            true
+        }),
         KeyOp::Append => store.append(proc, key, argv[2]).map(|len| {
             out.integer(len as i64);
             true
@@ -206,8 +233,11 @@ fn key_op(op: KeyOp, proc: &Process, store: Store, argv: &[&[u8]], out: &mut Rep
         Ok(true) => Outcome::Changed,
         Ok(false) => Outcome::Done,
         Err(e) => {
-            vm_error(e, out);
-            Outcome::Done
+            match op {
+                KeyOp::Incr => out.error("ERR value is not an integer or out of range"),
+                _ => vm_error(e, out),
+            }
+            Outcome::Failed(e)
         }
     }
 }

@@ -24,17 +24,19 @@
 //!   pinned workers, zero-copy RESP, SPSC mailboxes for rare cross-shard
 //!   ops, and fork-based BGSAVE off the serving threads.
 //! - [`DurableServer`]: the crash-consistent variant — every write is
-//!   journaled to a WAL before it is applied, and BGSAVE publishes the
-//!   forked image into an on-disk snapshot chain (see `odf-durability`).
+//!   journaled to a WAL, as its RESP command, before it executes, and
+//!   BGSAVE publishes the forked image into an on-disk snapshot chain
+//!   (see `odf-durability`).
 //! - [`workload`]: a memtier_benchmark-like pipelined traffic generator.
 //! - [`resp`]: the RESP wire protocol (what memtier actually speaks).
 //!
-//! Both RESP tiers serve one command table (the private `command`
+//! All three tiers serve one command table (the private `command`
 //! module), which declares each command's name, arity and class once and
-//! executes the key-local and admin classes for either tier. Each tier
+//! executes the key-local and admin classes for every tier. Each tier
 //! adds only what differs: `Server` its changed-key snapshot trigger,
-//! `PerCoreServer` its `-MOVED` routing, and each its own `DBSIZE` and
-//! `BGSAVE`.
+//! `PerCoreServer` its `-MOVED` routing, `DurableServer` its write-ahead
+//! journal (the table says which commands are writes), and each its own
+//! `DBSIZE` and `BGSAVE`.
 
 #![forbid(unsafe_code)]
 
@@ -48,8 +50,10 @@ mod store;
 pub mod workload;
 
 pub use percore::{Connection, PerCoreConfig, PerCoreServer};
-pub use persist::{Acked, Command, DurableConfig, DurableServer, PersistError};
-pub use resp::{encode_command, serve_stream, skip_reply, Parsed, RecvBuf, ReplyBuf, RespValue};
+pub use persist::{Acked, DurableConfig, DurableServer, PersistError};
+pub use resp::{
+    encode_command, serve_stream, skip_reply, Execute, Parsed, RecvBuf, ReplyBuf, RespValue,
+};
 pub use server::{Server, ServerConfig, SnapshotReport};
 pub use sharded::{ShardedSnapshot, ShardedStore};
 pub use store::Store;

@@ -1,8 +1,9 @@
 //! Durable serving: WAL-journaled writes + fork-snapshot chains.
 //!
-//! [`DurableServer`] is the crash-consistent sibling of [`crate::Server`]:
-//! every mutation is framed as a [`Command`], appended to the WAL *before*
-//! it touches the store (write-ahead), applied, then group-committed; the
+//! [`DurableServer`] is the crash-consistent sibling of [`crate::Server`]
+//! and serves the same command table. Every key-local write is journaled
+//! as its RESP encoding — Redis's AOF format — appended to the WAL *before*
+//! it touches the store (write-ahead), executed, then group-committed; the
 //! returned [`Acked`] carries whether the write is already durable under
 //! the configured fsync policy. Periodically (or on demand) `bgsave`
 //! forks the serving process, captures the frozen image exactly as the
@@ -12,10 +13,12 @@
 //! Recovery ([`DurableServer::open`] on a non-empty directory) restores
 //! the newest materializable chain into a fresh process via
 //! `Kernel::restore`, re-attaches the store handle from the geometry saved
-//! in the manifest metadata, and replays the WAL tail. The guarantee, as
-//! enforced by the crash-injection harness in `tests/`: the recovered
-//! state equals some prefix of the mutation order containing every
-//! acknowledged-durable write, no matter where power failed.
+//! in the manifest metadata, and replays the WAL tail through the same
+//! command executor, so a write that failed live fails the same way on
+//! replay. The guarantee, as enforced by the crash-injection harness in
+//! `tests/`: the recovered state equals some prefix of the write order
+//! containing every acknowledged-durable write, no matter where power
+//! failed.
 
 use std::sync::Arc;
 
@@ -23,10 +26,13 @@ use odf_core::{ForkPolicy, Kernel, Process, SnapshotError, VmError};
 use odf_durability::{
     recover, ChainStore, FsError, ManifestEntry, RecoveryReport, StorageFs, Wal, WalConfig,
 };
-use odf_metrics::Stopwatch;
+use odf_metrics::{Stopwatch, Summary};
 use odf_snapshot::{capture_delta, capture_full};
 use odf_trace::Event;
 
+use crate::command::{self, Host, Outcome, ServerOp, SnapshotInfo};
+use crate::resp::{encode_command, with_argv, Execute, Parsed, RecvBuf, ReplyBuf};
+use crate::server::fork_snapshot_child;
 use crate::store::Store;
 
 /// Errors from the durable serving path.
@@ -73,125 +79,29 @@ impl From<SnapshotError> for PersistError {
     }
 }
 
-/// One journaled mutation, as framed into a WAL payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Command {
-    /// `SET key value`.
-    Set {
-        /// The key.
-        key: Vec<u8>,
-        /// The value.
-        value: Vec<u8>,
-    },
-    /// `DEL key`.
-    Del {
-        /// The key.
-        key: Vec<u8>,
-    },
-    /// `INCR key`.
-    Incr {
-        /// The key.
-        key: Vec<u8>,
-    },
-    /// `APPEND key suffix`.
-    Append {
-        /// The key.
-        key: Vec<u8>,
-        /// Bytes appended to the value.
-        suffix: Vec<u8>,
-    },
-}
-
-const OP_SET: u8 = 1;
-const OP_DEL: u8 = 2;
-const OP_INCR: u8 = 3;
-const OP_APPEND: u8 = 4;
-
-impl Command {
-    /// Frames the command as a WAL payload:
-    /// `[op u8][klen u32][key]([vlen u32][value])`.
-    pub fn encode(&self) -> Vec<u8> {
-        fn frame(op: u8, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
-            let mut out = Vec::with_capacity(5 + key.len() + value.map_or(0, |v| 4 + v.len()));
-            out.push(op);
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key);
-            if let Some(v) = value {
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-            }
-            out
-        }
-        match self {
-            Command::Set { key, value } => frame(OP_SET, key, Some(value)),
-            Command::Del { key } => frame(OP_DEL, key, None),
-            Command::Incr { key } => frame(OP_INCR, key, None),
-            Command::Append { key, suffix } => frame(OP_APPEND, key, Some(suffix)),
-        }
-    }
-
-    /// Inverse of [`Command::encode`].
-    pub fn decode(payload: &[u8]) -> Option<Command> {
-        let op = *payload.first()?;
-        let mut at = 1usize;
-        let mut take = |buf: &[u8]| -> Option<Vec<u8>> {
-            let len = u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?) as usize;
-            let bytes = buf.get(at + 4..at + 4 + len)?.to_vec();
-            at += 4 + len;
-            Some(bytes)
-        };
-        let key = take(payload)?;
-        let cmd = match op {
-            OP_SET => Command::Set {
-                key,
-                value: take(payload)?,
-            },
-            OP_DEL => Command::Del { key },
-            OP_INCR => Command::Incr { key },
-            OP_APPEND => Command::Append {
-                key,
-                suffix: take(payload)?,
-            },
-            _ => return None,
-        };
-        if at != payload.len() {
-            return None;
-        }
-        Some(cmd)
-    }
-}
-
 /// Store geometry saved in the chain manifest's metadata field, so a
 /// restored address space can be re-attached without rehashing: 3 × u64 LE
 /// (heap base, heap capacity, header address).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct StoreMeta {
-    heap_base: u64,
-    heap_capacity: u64,
-    header: u64,
+fn store_meta(store: Store) -> Vec<u8> {
+    let words = [
+        store.heap().base(),
+        store.heap().capacity(),
+        store.header_addr(),
+    ];
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
-impl StoreMeta {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24);
-        out.extend_from_slice(&self.heap_base.to_le_bytes());
-        out.extend_from_slice(&self.heap_capacity.to_le_bytes());
-        out.extend_from_slice(&self.header.to_le_bytes());
-        out
-    }
-
-    fn decode(bytes: &[u8]) -> Option<StoreMeta> {
-        if bytes.len() != 24 {
-            return None;
-        }
-        let word =
-            |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().ok().unwrap());
-        Some(StoreMeta {
-            heap_base: word(0),
-            heap_capacity: word(1),
-            header: word(2),
-        })
-    }
+/// Re-attaches the store whose geometry [`store_meta`] saved.
+fn attach_store(meta: &[u8]) -> Option<Store> {
+    let words: Vec<u64> = meta
+        .chunks(8)
+        .map(|w| w.try_into().ok().map(u64::from_le_bytes))
+        .collect::<Option<_>>()?;
+    let [heap_base, heap_capacity, header] = words[..] else {
+        return None;
+    };
+    let heap = odf_core::UserHeap::attach(heap_base, heap_capacity);
+    Some(Store::attach(heap, header))
 }
 
 /// Configuration for a [`DurableServer`].
@@ -205,7 +115,7 @@ pub struct DurableConfig {
     pub fork_policy: ForkPolicy,
     /// Publish delta images after the first full one.
     pub incremental: bool,
-    /// Take a snapshot after this many journaled mutations (0 = never
+    /// Take a snapshot after this many journaled writes (0 = never
     /// automatically).
     pub snapshot_every: u64,
     /// WAL segment size and fsync policy.
@@ -225,12 +135,12 @@ impl Default for DurableConfig {
     }
 }
 
-/// Acknowledgement for one journaled mutation.
+/// Acknowledgement for one journaled write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Acked {
-    /// The mutation's WAL sequence number.
+    /// The write's WAL sequence number.
     pub seq: u64,
-    /// Whether the mutation had reached stable storage when the call
+    /// Whether the write had reached stable storage when the call
     /// returned. A client that saw `durable: true` must find this write
     /// after any crash; `durable: false` writes may legally be lost.
     pub durable: bool,
@@ -242,27 +152,16 @@ pub struct DurableServer {
     proc: Process,
     store: Store,
     wal: Wal,
-    /// `None` only while an async snapshot owns the chain (it moves into
-    /// the publisher thread and comes back at [`DurableServer::wait_bgsave`]).
-    chain: Option<ChainStore>,
+    chain: ChainStore,
     config: DurableConfig,
-    /// Mutations journaled since the last snapshot.
+    /// Writes journaled since the last snapshot.
     dirty: u64,
     /// Offset added to the process's checkpoint epoch so published epochs
     /// keep increasing across recoveries (a restored process restarts at
     /// epoch 0).
     epoch_base: u64,
-    /// At most one in-flight async snapshot.
-    bgsave_job: Option<BgsaveJob>,
-}
-
-/// An in-flight [`DurableServer::bgsave_async`] publication: the helper
-/// thread owns the frozen child and the chain store; the serving thread
-/// keeps the WAL (truncation happens on join, after publish succeeded).
-struct BgsaveJob {
-    handle: std::thread::JoinHandle<(ChainStore, Result<ManifestEntry, PersistError>)>,
-    wal_seq: u64,
-    fork_ns: u64,
+    /// Fork-call durations of every snapshot, nanoseconds (for `INFO`).
+    fork_times: Summary,
 }
 
 impl DurableServer {
@@ -280,12 +179,8 @@ impl DurableServer {
         let (proc, store, epoch_base) = match recovered.image {
             Some(image) => {
                 let proc = kernel.restore(&image)?;
-                let meta = StoreMeta::decode(&recovered.meta)
+                let store = attach_store(&recovered.meta)
                     .ok_or(PersistError::Corrupt("store geometry metadata"))?;
-                let store = Store::attach(
-                    odf_core::UserHeap::attach(meta.heap_base, meta.heap_capacity),
-                    meta.header,
-                );
                 let tip = report.chain_epoch.expect("image implies a chain epoch");
                 (proc, store, tip + 1)
             }
@@ -300,21 +195,18 @@ impl DurableServer {
             proc,
             store,
             wal: recovered.wal,
-            chain: Some(recovered.chain),
+            chain: recovered.chain,
             config,
             dirty: 0,
             epoch_base,
-            bgsave_job: None,
+            fork_times: Summary::new(),
         };
 
-        // Replay the WAL tail. Records already passed CRC; a payload that
-        // does not decode means a version mismatch, not bit rot.
         let sw = Stopwatch::start();
         let replayed = recovered.records.len() as u64;
+        let mut args = Vec::new();
         for record in &recovered.records {
-            let cmd = Command::decode(&record.payload)
-                .ok_or(PersistError::Corrupt("undecodable WAL payload"))?;
-            server.apply(&cmd)?;
+            server.replay(&record.payload, &mut args)?;
         }
         if replayed > 0 {
             odf_trace::emit(Event::RecoveryReplay {
@@ -327,6 +219,37 @@ impl DurableServer {
             .add(replayed);
 
         Ok((server, report))
+    }
+
+    /// Re-executes one journaled write on the recovered image. Records
+    /// already passed CRC, so a payload that is not exactly one complete
+    /// write command means a version mismatch, not bit rot. The reply is
+    /// discarded: replay reproduces the live outcome, a failed write
+    /// included, and fails only on an error the live run could not have
+    /// had for the same record.
+    fn replay(
+        &mut self,
+        payload: &[u8],
+        args: &mut Vec<(usize, usize)>,
+    ) -> Result<(), PersistError> {
+        let corrupt = PersistError::Corrupt("WAL record is not one write command");
+        let mut rx = RecvBuf::new();
+        rx.push(payload);
+        if !matches!(rx.parse_command(args), Parsed::Cmd { used } if used == payload.len()) {
+            return Err(corrupt);
+        }
+        let outcome = with_argv(&rx, args, |argv| {
+            command::is_write(argv).then(|| command::execute(&*self, argv, &mut ReplyBuf::new()))
+        });
+        match outcome {
+            None => Err(corrupt),
+            Some(Outcome::Failed(
+                e @ (VmError::Fault { .. }
+                | VmError::FaultRetriesExhausted { .. }
+                | VmError::NoVirtualSpace),
+            )) => Err(e.into()),
+            Some(_) => Ok(()),
+        }
     }
 
     /// The serving process.
@@ -344,84 +267,46 @@ impl DurableServer {
         self.wal.durable_seq()
     }
 
-    /// Applies a command to the in-memory store (no journaling — shared by
-    /// the live path and recovery replay, which must behave identically).
-    fn apply(&mut self, cmd: &Command) -> Result<(), PersistError> {
-        match cmd {
-            Command::Set { key, value } => self.store.set(&self.proc, key, value)?,
-            Command::Del { key } => {
-                self.store.del(&self.proc, key)?;
+    /// Executes one RESP command (`argv[0]` is its name) through the
+    /// command table, writing its reply into `out`.
+    ///
+    /// A key-local write with valid arity is journaled write-ahead: its
+    /// RESP encoding is appended to the WAL, then it executes, then the
+    /// WAL group-commits. A crash can therefore lose the tail of
+    /// *un-acknowledged* writes but never surface one the log does not
+    /// hold. Such a write returns its [`Acked`] even when the store
+    /// rejected it (its `-ERR` reply is in `out`): the record replays to
+    /// the same failure. Every other command journals nothing and returns
+    /// `Ok(None)`; `BGSAVE` runs [`DurableServer::bgsave`].
+    ///
+    /// A storage error, including one from the snapshot a write triggers
+    /// after `snapshot_every` writes, returns `Err`; `out` then may hold
+    /// the reply of a write that ran but was not committed. The wire path
+    /// ([`Execute`]) replies `-ERR <error>` instead.
+    pub fn execute(
+        &mut self,
+        argv: &[&[u8]],
+        out: &mut ReplyBuf,
+    ) -> Result<Option<Acked>, PersistError> {
+        if !command::is_write(argv) {
+            match command::execute(&*self, argv, out) {
+                Outcome::Server(ServerOp::Dbsize) => command::dbsize(&self.proc, self.store, out),
+                Outcome::Server(ServerOp::Bgsave) => {
+                    self.bgsave()?;
+                    out.simple(command::BGSAVE_STARTED);
+                }
+                _ => {}
             }
-            Command::Incr { key } => {
-                self.store.incr(&self.proc, key)?;
-            }
-            Command::Append { key, suffix } => {
-                self.store.append(&self.proc, key, suffix)?;
-            }
+            return Ok(None);
         }
-        Ok(())
-    }
-
-    /// Journal-then-apply-then-commit for one mutation: the write-ahead
-    /// ordering means a crash can lose the tail of *un-acknowledged*
-    /// writes but can never surface a write the log does not hold.
-    fn mutate(&mut self, cmd: Command) -> Result<Acked, PersistError> {
-        let seq = self.wal.append(&cmd.encode())?;
-        self.apply(&cmd)?;
+        let seq = self.wal.append(&encode_command(argv))?;
+        command::execute(&*self, argv, out);
         let durable = self.wal.commit()?;
         self.dirty += 1;
         if self.config.snapshot_every > 0 && self.dirty >= self.config.snapshot_every {
             self.bgsave()?;
         }
-        Ok(Acked { seq, durable })
-    }
-
-    /// Journaled `SET`.
-    pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<Acked, PersistError> {
-        if key.is_empty() {
-            return Err(PersistError::Vm(VmError::InvalidArgument));
-        }
-        self.mutate(Command::Set {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        })
-    }
-
-    /// Journaled `DEL` (journaled even when the key is absent — replay is
-    /// deterministic either way).
-    pub fn del(&mut self, key: &[u8]) -> Result<Acked, PersistError> {
-        self.mutate(Command::Del { key: key.to_vec() })
-    }
-
-    /// Journaled `INCR`. Validated *before* journaling so a record that
-    /// enters the log always replays cleanly.
-    pub fn incr(&mut self, key: &[u8]) -> Result<Acked, PersistError> {
-        if let Some(bytes) = self.store.get(&self.proc, key)? {
-            let ok = std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|s| s.parse::<i64>().ok())
-                .is_some_and(|v| v.checked_add(1).is_some());
-            if !ok {
-                return Err(PersistError::Vm(VmError::InvalidArgument));
-            }
-        }
-        self.mutate(Command::Incr { key: key.to_vec() })
-    }
-
-    /// Journaled `APPEND`.
-    pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<Acked, PersistError> {
-        if key.is_empty() {
-            return Err(PersistError::Vm(VmError::InvalidArgument));
-        }
-        self.mutate(Command::Append {
-            key: key.to_vec(),
-            suffix: suffix.to_vec(),
-        })
-    }
-
-    /// `GET` (reads are not journaled).
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, PersistError> {
-        Ok(self.store.get(&self.proc, key)?)
+        Ok(Some(Acked { seq, durable }))
     }
 
     /// Forces everything journaled so far to stable storage.
@@ -438,8 +323,16 @@ impl DurableServer {
     /// crash-injection harness enumerates exactly that order), so the
     /// serialize step runs on the calling thread.
     pub fn bgsave(&mut self) -> Result<ManifestEntry, PersistError> {
-        self.wait_bgsave()?;
-        let (child, wal_seq, child_epoch, delta) = self.fork_frozen()?;
+        self.dirty = 0;
+        // Every executed write is journaled first, so the fork below
+        // freezes exactly the state through this sequence number.
+        let wal_seq = self.wal.appended_seq();
+        // The epoch advances even in full-image mode: monotone epochs keep
+        // chain ordering unambiguous.
+        let (child, fork_ns, child_epoch, delta) =
+            fork_snapshot_child(&self.proc, self.config.fork_policy, true)?;
+        self.fork_times.record(fork_ns as f64);
+        let delta = delta && self.config.incremental;
 
         let mut image = if delta {
             capture_delta(child.mm(), child_epoch, child_epoch - 1)
@@ -453,88 +346,11 @@ impl DurableServer {
         image.epoch = self.epoch_base + child_epoch;
         image.parent_epoch = if delta { image.epoch - 1 } else { image.epoch };
 
-        let meta = self.store_meta().encode();
-        let chain = self.chain.as_mut().expect("no snapshot in flight");
-        let entry = chain.publish(&image, wal_seq, &meta)?;
+        let entry = self
+            .chain
+            .publish(&image, wal_seq, &store_meta(self.store))?;
         self.wal.truncate_through(wal_seq)?;
         Ok(entry)
-    }
-
-    /// Shared front half of both bgsave flavors: reset the dirty counter,
-    /// pin the covered WAL sequence, fork, and advance the epoch — the
-    /// only part that must happen on the serving thread, and the only part
-    /// that stalls it.
-    fn fork_frozen(&mut self) -> Result<(Process, u64, u64, bool), PersistError> {
-        self.dirty = 0;
-        // Every applied mutation is journaled first, so the fork below
-        // freezes exactly the state through this sequence number.
-        let wal_seq = self.wal.appended_seq();
-        let child = self.proc.fork_with(self.config.fork_policy)?;
-        let child_epoch = child.checkpoint_epoch();
-        let delta = self.config.incremental && child_epoch > 0;
-        // Advance before any post-fork write (see Server::bgsave), even in
-        // full-image mode: monotone epochs keep chain ordering unambiguous.
-        self.proc.advance_checkpoint_epoch()?;
-        Ok((child, wal_seq, child_epoch, delta))
-    }
-
-    fn store_meta(&self) -> StoreMeta {
-        StoreMeta {
-            heap_base: self.store.heap().base(),
-            heap_capacity: self.store.heap().capacity(),
-            header: self.store.header_addr(),
-        }
-    }
-
-    /// Starts a snapshot without blocking the serving thread for the
-    /// capture + publish: only the fork call runs here (the paper's
-    /// microsecond stall); a helper thread walks the frozen child and
-    /// publishes to the chain while this server keeps acking writes.
-    /// At most one snapshot is in flight — a second call joins the first.
-    ///
-    /// WAL truncation is deferred to [`DurableServer::wait_bgsave`], after
-    /// publish succeeded, so a crash mid-snapshot recovers from the *prior*
-    /// chain plus an intact log (recovery skips records a chain already
-    /// covers, so the untruncated overlap is harmless).
-    pub fn bgsave_async(&mut self) -> Result<(), PersistError> {
-        self.wait_bgsave()?;
-        let sw = Stopwatch::start();
-        let (child, wal_seq, child_epoch, delta) = self.fork_frozen()?;
-        let fork_ns = sw.elapsed_ns();
-        let epoch_base = self.epoch_base;
-        let meta = self.store_meta().encode();
-        let mut chain = self.chain.take().expect("no snapshot in flight");
-        let handle = std::thread::spawn(move || {
-            let mut image = if delta {
-                capture_delta(child.mm(), child_epoch, child_epoch - 1)
-            } else {
-                capture_full(child.mm(), child_epoch)
-            };
-            child.exit();
-            image.epoch = epoch_base + child_epoch;
-            image.parent_epoch = if delta { image.epoch - 1 } else { image.epoch };
-            let result = chain.publish(&image, wal_seq, &meta).map_err(Into::into);
-            (chain, result)
-        });
-        self.bgsave_job = Some(BgsaveJob {
-            handle,
-            wal_seq,
-            fork_ns,
-        });
-        Ok(())
-    }
-
-    /// Joins the in-flight async snapshot, if any, returning its manifest
-    /// entry and the fork stall (nanoseconds) the serving thread paid.
-    pub fn wait_bgsave(&mut self) -> Result<Option<(ManifestEntry, u64)>, PersistError> {
-        let Some(job) = self.bgsave_job.take() else {
-            return Ok(None);
-        };
-        let (chain, result) = job.handle.join().expect("snapshot publisher panicked");
-        self.chain = Some(chain);
-        let entry = result?;
-        self.wal.truncate_through(job.wal_seq)?;
-        Ok(Some((entry, job.fork_ns)))
     }
 
     /// Serialized dump of the live store (same format as
@@ -545,9 +361,39 @@ impl DurableServer {
     }
 }
 
+impl Execute for DurableServer {
+    fn execute(&mut self, argv: &[&[u8]], out: &mut ReplyBuf) {
+        let mut reply = ReplyBuf::new();
+        match DurableServer::execute(self, argv, &mut reply) {
+            Ok(_) => out.append(&mut reply),
+            Err(e) => out.error(&format!("ERR {e}")),
+        }
+    }
+}
+
+impl Host for DurableServer {
+    fn process(&self) -> &Process {
+        &self.proc
+    }
+
+    fn route(&self, _key: &[u8]) -> Result<Store, usize> {
+        Ok(self.store)
+    }
+
+    fn snapshots(&self) -> SnapshotInfo {
+        SnapshotInfo {
+            fork_policy: self.config.fork_policy,
+            // `bgsave` runs to completion on the serving thread.
+            in_progress: false,
+            fork_times: self.fork_times.clone(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resp::serve_stream;
     use odf_durability::{CrashFs, FsyncPolicy};
 
     fn small_kernel() -> Arc<Kernel> {
@@ -562,33 +408,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn command_encode_decode_round_trips() {
-        let cases = [
-            Command::Set {
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
-            },
-            Command::Del {
-                key: b"gone".to_vec(),
-            },
-            Command::Incr {
-                key: b"ctr".to_vec(),
-            },
-            Command::Append {
-                key: b"log".to_vec(),
-                suffix: vec![0, 255, 1],
-            },
-        ];
-        for cmd in cases {
-            assert_eq!(Command::decode(&cmd.encode()), Some(cmd));
-        }
-        assert_eq!(Command::decode(&[]), None);
-        assert_eq!(Command::decode(&[9, 0, 0, 0, 0]), None);
-        // Trailing garbage is rejected.
-        let mut enc = Command::Del { key: b"k".to_vec() }.encode();
-        enc.push(0);
-        assert_eq!(Command::decode(&enc), None);
+    /// Executes one command, returning its reply and acknowledgement.
+    fn exec(srv: &mut DurableServer, argv: &[&[u8]]) -> (String, Option<Acked>) {
+        let mut reply = ReplyBuf::new();
+        let ack = srv.execute(argv, &mut reply).unwrap();
+        let mut bytes = Vec::new();
+        reply.flush_into(&mut bytes);
+        (String::from_utf8_lossy(&bytes).into_owned(), ack)
+    }
+
+    fn set(srv: &mut DurableServer, key: &[u8], value: &[u8]) -> Acked {
+        let (reply, ack) = exec(srv, &[b"SET", key, value]);
+        assert_eq!(reply, "+OK\r\n");
+        ack.expect("a write is journaled")
+    }
+
+    fn get(srv: &DurableServer, key: &[u8]) -> Option<Vec<u8>> {
+        srv.store.get(&srv.proc, key).unwrap()
     }
 
     #[test]
@@ -598,17 +434,83 @@ mod tests {
         {
             let (mut srv, report) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
             assert_eq!(report.chain_epoch, None);
-            let ack = srv.set(b"alpha", b"1").unwrap();
+            let ack = set(&mut srv, b"alpha", b"1");
             assert!(ack.durable, "Always policy acks durably");
-            srv.incr(b"ctr").unwrap();
-            srv.append(b"log", b"hello").unwrap();
-            srv.del(b"alpha").unwrap();
+            assert_eq!(exec(&mut srv, &[b"INCR", b"ctr"]).0, ":1\r\n");
+            assert_eq!(exec(&mut srv, &[b"APPEND", b"log", b"hello"]).0, ":5\r\n");
+            assert_eq!(exec(&mut srv, &[b"DEL", b"alpha"]).0, ":1\r\n");
+            // Reads, admin commands and wrong-arity writes journal nothing.
+            for argv in [
+                &[&b"GET"[..], b"log"][..],
+                &[b"PING"],
+                &[b"DBSIZE"],
+                &[b"SET", b"k"],
+            ] {
+                assert_eq!(exec(&mut srv, argv).1, None);
+            }
         }
-        let (mut srv, report) = DurableServer::open(&kernel, fs, config()).unwrap();
+        let (srv, report) = DurableServer::open(&kernel, fs, config()).unwrap();
         assert_eq!(report.wal_records_to_replay, 4);
-        assert_eq!(srv.get(b"alpha").unwrap(), None);
-        assert_eq!(srv.get(b"ctr").unwrap().unwrap(), b"1");
-        assert_eq!(srv.get(b"log").unwrap().unwrap(), b"hello");
+        assert_eq!(get(&srv, b"alpha"), None);
+        assert_eq!(get(&srv, b"ctr").unwrap(), b"1");
+        assert_eq!(get(&srv, b"log").unwrap(), b"hello");
+    }
+
+    #[test]
+    fn wal_records_are_resp_write_commands() {
+        let fs = Arc::new(CrashFs::new());
+        let kernel = small_kernel();
+        {
+            let (mut srv, _) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
+            set(&mut srv, b"k", b"v");
+        }
+        let (_, scan) = Wal::open(fs.clone(), WalConfig::default()).unwrap();
+        let payloads: Vec<_> = scan.records.iter().map(|r| r.payload.clone()).collect();
+        assert_eq!(payloads, [encode_command(&[b"SET", b"k", b"v"])]);
+
+        // A record that is not exactly one write command fails recovery.
+        for bad in [
+            encode_command(&[b"GET", b"k"]),
+            encode_command(&[b"SET", b"k"]),
+            [encode_command(&[b"DEL", b"k"]), b"+".to_vec()].concat(),
+            b"*2\r\n$3\r\nDEL\r\n".to_vec(),
+        ] {
+            let fs = Arc::new(CrashFs::new());
+            let (mut wal, _) = Wal::open(fs.clone(), WalConfig::default()).unwrap();
+            wal.append(&bad).unwrap();
+            wal.commit().unwrap();
+            assert!(matches!(
+                DurableServer::open(&kernel, fs, config()),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn failed_writes_replay_to_the_same_failure() {
+        let fs = Arc::new(CrashFs::new());
+        let kernel = small_kernel();
+        let live = {
+            let (mut srv, _) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
+            set(&mut srv, b"word", b"not-a-number");
+            set(&mut srv, b"big", b"small");
+            // More than the whole store heap: the store rejects it.
+            let huge = vec![7u8; 4 << 20];
+            let (reply, ack) = exec(&mut srv, &[b"SET", b"big", &huge]);
+            assert!(reply.starts_with("-ERR"), "{reply}");
+            assert!(ack.is_some(), "a failed write is still journaled");
+            let (reply, ack) = exec(&mut srv, &[b"INCR", b"word"]);
+            assert_eq!(reply, "-ERR value is not an integer or out of range\r\n");
+            assert!(ack.is_some());
+            set(&mut srv, b"after", b"1");
+            srv.dump().unwrap()
+        };
+        for _ in 0..2 {
+            let (srv, report) = DurableServer::open(&kernel, fs.clone(), config())
+                .expect("a failed write must not wedge recovery");
+            assert_eq!(report.wal_records_to_replay, 5);
+            assert_eq!(srv.dump().unwrap(), live);
+        }
     }
 
     #[test]
@@ -618,24 +520,24 @@ mod tests {
         {
             let (mut srv, _) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
             for i in 0..20u32 {
-                srv.set(format!("k{i}").as_bytes(), &i.to_le_bytes())
-                    .unwrap();
+                set(&mut srv, format!("k{i}").as_bytes(), &i.to_le_bytes());
             }
             let entry = srv.bgsave().unwrap();
             assert_eq!(entry.epoch, 0);
             assert_eq!(entry.wal_seq, 20);
             // Post-snapshot writes live only in the WAL tail.
-            srv.set(b"tail", b"yes").unwrap();
-            let entry2 = srv.bgsave().unwrap();
-            assert_eq!(entry2.epoch, 1, "epochs are monotone");
-            srv.set(b"tail2", b"also").unwrap();
+            set(&mut srv, b"tail", b"yes");
+            let (reply, ack) = exec(&mut srv, &[b"BGSAVE"]);
+            assert_eq!(reply, format!("+{}\r\n", command::BGSAVE_STARTED));
+            assert_eq!(ack, None);
+            set(&mut srv, b"tail2", b"also");
         }
-        let (mut srv, report) = DurableServer::open(&kernel, fs, config()).unwrap();
-        assert_eq!(report.chain_epoch, Some(1));
+        let (srv, report) = DurableServer::open(&kernel, fs, config()).unwrap();
+        assert_eq!(report.chain_epoch, Some(1), "epochs are monotone");
         assert_eq!(report.wal_records_to_replay, 1);
-        assert_eq!(srv.get(b"k7").unwrap().unwrap(), 7u32.to_le_bytes());
-        assert_eq!(srv.get(b"tail").unwrap().unwrap(), b"yes");
-        assert_eq!(srv.get(b"tail2").unwrap().unwrap(), b"also");
+        assert_eq!(get(&srv, b"k7").unwrap(), 7u32.to_le_bytes());
+        assert_eq!(get(&srv, b"tail").unwrap(), b"yes");
+        assert_eq!(get(&srv, b"tail2").unwrap(), b"also");
     }
 
     #[test]
@@ -644,89 +546,53 @@ mod tests {
         let kernel = small_kernel();
         {
             let (mut srv, _) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
-            srv.set(b"a", b"1").unwrap();
+            set(&mut srv, b"a", b"1");
             srv.bgsave().unwrap();
-            srv.set(b"b", b"2").unwrap();
+            set(&mut srv, b"b", b"2");
             srv.bgsave().unwrap();
         }
         {
             let (mut srv, report) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
             assert_eq!(report.chain_epoch, Some(1));
-            srv.set(b"c", b"3").unwrap();
+            set(&mut srv, b"c", b"3");
             // First post-recovery snapshot must be a fresh full image at a
             // *newer* epoch than the chain it restored from.
             let entry = srv.bgsave().unwrap();
             assert_eq!(entry.epoch, 2);
             assert_eq!(entry.kind, odf_core::ImageKind::Full);
         }
-        let (mut srv, report) = DurableServer::open(&kernel, fs, config()).unwrap();
+        let (srv, report) = DurableServer::open(&kernel, fs, config()).unwrap();
         assert_eq!(report.chain_epoch, Some(2));
         for (k, v) in [(b"a", b"1"), (b"b", b"2"), (b"c", b"3")] {
-            assert_eq!(srv.get(k).unwrap().unwrap(), v);
+            assert_eq!(get(&srv, k).unwrap(), v);
         }
     }
 
     #[test]
-    fn invalid_incr_is_rejected_before_journaling() {
+    fn wire_path_answers_admin_commands_and_storage_errors() {
         let fs = Arc::new(CrashFs::new());
         let kernel = small_kernel();
-        let (mut srv, _) = DurableServer::open(&kernel, fs, config()).unwrap();
-        srv.set(b"text", b"not-a-number").unwrap();
-        let before = srv.wal.appended_seq();
-        assert!(matches!(
-            srv.incr(b"text"),
-            Err(PersistError::Vm(VmError::InvalidArgument))
-        ));
-        assert_eq!(srv.wal.appended_seq(), before, "no record journaled");
-    }
-
-    #[test]
-    fn async_bgsave_acks_writes_while_publishing() {
-        let fs = Arc::new(CrashFs::new());
-        let kernel = small_kernel();
-        {
-            let (mut srv, _) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
-            for i in 0..30u32 {
-                srv.set(format!("k{i}").as_bytes(), &i.to_le_bytes())
-                    .unwrap();
-            }
-            srv.bgsave_async().unwrap();
-            // The serving thread is free immediately: journaled writes are
-            // acked while the helper thread publishes the frozen image.
-            let ack = srv.set(b"during", b"snapshot").unwrap();
-            assert!(ack.durable);
-            let (entry, fork_ns) = srv.wait_bgsave().unwrap().expect("one job in flight");
-            assert_eq!(entry.epoch, 0);
-            assert_eq!(entry.wal_seq, 30, "image covers exactly the pre-fork log");
-            assert!(fork_ns > 0);
-            assert!(srv.wait_bgsave().unwrap().is_none(), "join is idempotent");
-            // A second async snapshot picks up the write made during the
-            // first one.
-            srv.bgsave_async().unwrap();
-            let (entry2, _) = srv.wait_bgsave().unwrap().unwrap();
-            assert_eq!(entry2.epoch, 1);
-            assert_eq!(entry2.wal_seq, 31);
-        }
-        let (mut srv, report) = DurableServer::open(&kernel, fs, config()).unwrap();
-        assert_eq!(report.chain_epoch, Some(1));
-        assert_eq!(report.wal_records_to_replay, 0);
-        assert_eq!(srv.get(b"k7").unwrap().unwrap(), 7u32.to_le_bytes());
-        assert_eq!(srv.get(b"during").unwrap().unwrap(), b"snapshot");
-    }
-
-    #[test]
-    fn sync_bgsave_joins_an_in_flight_async_job_first() {
-        let fs = Arc::new(CrashFs::new());
-        let kernel = small_kernel();
-        let (mut srv, _) = DurableServer::open(&kernel, fs, config()).unwrap();
-        srv.set(b"a", b"1").unwrap();
-        srv.bgsave_async().unwrap();
-        srv.set(b"b", b"2").unwrap();
-        // The sync path must first join the async job (it owns the chain),
-        // then publish its own newer image.
-        let entry = srv.bgsave().unwrap();
-        assert_eq!(entry.epoch, 1);
-        assert_eq!(entry.wal_seq, 2);
+        let (mut srv, _) = DurableServer::open(&kernel, fs.clone(), config()).unwrap();
+        let mut wire = |argv: &[&[u8]]| {
+            String::from_utf8(serve_stream(&mut srv, &encode_command(argv))).unwrap()
+        };
+        assert_eq!(wire(&[b"PING"]), "+PONG\r\n");
+        assert_eq!(wire(&[b"SET", b"k", b"v"]), "+OK\r\n");
+        assert_eq!(wire(&[b"DBSIZE"]), ":1\r\n");
+        assert!(wire(&[b"BGSAVE"]).starts_with('+'));
+        let info = wire(&[b"INFO", b"persistence"]);
+        assert!(info.contains("snapshots_started:1"), "{info}");
+        assert!(wire(&[b"STATS"]).starts_with('$'));
+        assert_eq!(wire(&[b"PROBE", b"READ", b"nosuchprobe"]), "$-1\r\n");
+        // Power loss: the write is never acknowledged on the wire.
+        fs.arm(odf_durability::CrashPlan {
+            at: fs.ops(),
+            mode: odf_durability::CrashMode::Before,
+        });
+        assert_eq!(
+            wire(&[b"SET", b"k", b"w"]),
+            "-ERR storage error: storage crashed (simulated power loss)\r\n"
+        );
     }
 
     #[test]
@@ -741,11 +607,11 @@ mod tests {
             ..config()
         };
         let (mut srv, _) = DurableServer::open(&kernel, fs, cfg).unwrap();
-        let a1 = srv.set(b"a", b"1").unwrap();
+        let a1 = set(&mut srv, b"a", b"1");
         assert!(!a1.durable);
-        srv.set(b"b", b"2").unwrap();
-        srv.set(b"c", b"3").unwrap();
-        let a4 = srv.set(b"d", b"4").unwrap();
+        set(&mut srv, b"b", b"2");
+        set(&mut srv, b"c", b"3");
+        let a4 = set(&mut srv, b"d", b"4");
         assert!(a4.durable, "4th commit crosses the EveryN(4) boundary");
         assert_eq!(srv.durable_seq(), 4);
     }

@@ -10,8 +10,6 @@
 use std::collections::VecDeque;
 use std::io::Write as _;
 
-use crate::server::Server;
-
 /// Commands with at most this many arguments dispatch from a stack array
 /// of borrowed slices — no per-command allocation on the hot path.
 pub const MAX_INLINE_ARGS: usize = 8;
@@ -453,6 +451,11 @@ impl ReplyBuf {
         chunk.ready = true;
     }
 
+    /// Moves every ready reply of `other` to the end of this buffer.
+    pub(crate) fn append(&mut self, other: &mut ReplyBuf) {
+        other.flush_into(self.tail());
+    }
+
     /// Whether any reserved slot is still unfilled.
     pub fn has_pending(&self) -> bool {
         self.chunks.iter().any(|c| !c.ready)
@@ -532,12 +535,20 @@ pub(crate) fn with_argv<R>(
     }
 }
 
+/// A serving tier that executes one command at a time on the caller's
+/// thread — what [`serve_stream`] drives.
+pub trait Execute {
+    /// Executes one command (`argv[0]` is its name), writing exactly one
+    /// reply into `out`.
+    fn execute(&mut self, argv: &[&[u8]], out: &mut ReplyBuf);
+}
+
 /// Feeds a byte stream of pipelined commands to the server, as a
 /// connection handler would, returning the concatenated replies.
 ///
 /// Runs on the zero-copy path: commands are parsed in place from a
 /// [`RecvBuf`] and argument slices borrow the receive buffer.
-pub fn serve_stream(server: &mut Server, input: &[u8]) -> Vec<u8> {
+pub fn serve_stream(server: &mut impl Execute, input: &[u8]) -> Vec<u8> {
     let mut rx = RecvBuf::new();
     rx.push(input);
     let mut reply = ReplyBuf::new();
@@ -563,7 +574,7 @@ pub fn serve_stream(server: &mut Server, input: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
+    use crate::server::{Server, ServerConfig};
     use odf_core::Kernel;
 
     fn server() -> Server {

@@ -9,7 +9,7 @@ use odf_metrics::{Stopwatch, Summary};
 use odf_snapshot::{capture_delta, capture_full};
 
 use crate::command::{self, Host, Outcome, ServerOp, SnapshotInfo};
-use crate::resp::ReplyBuf;
+use crate::resp::{Execute, ReplyBuf};
 use crate::store::Store;
 
 /// Server configuration.
@@ -237,24 +237,23 @@ impl Server {
     pub fn snapshots_started(&self) -> u64 {
         self.fork_times.count()
     }
+}
 
+impl Execute for Server {
     /// Executes one RESP command (`argv[0]` is its name), writing the reply
     /// into `out`. The command table does the work; this server adds only
     /// its changed-key count — a write that crosses `snapshot_every` forks
     /// a snapshot here, on the serving thread — and its own `DBSIZE` and
     /// `BGSAVE`.
-    pub fn execute(&mut self, argv: &[&[u8]], out: &mut ReplyBuf) {
+    fn execute(&mut self, argv: &[&[u8]], out: &mut ReplyBuf) {
         match command::execute(&*self, argv, out) {
-            Outcome::Done => {}
+            Outcome::Done | Outcome::Failed(_) => {}
             // The write is already acknowledged; like Redis, a failed
             // automatic snapshot does not fail the write that triggered it.
             Outcome::Changed => {
                 let _ = self.note_dirty();
             }
-            Outcome::Server(ServerOp::Dbsize) => match self.store.len(&self.proc) {
-                Ok(n) => out.integer(n as i64),
-                Err(e) => command::vm_error(e, out),
-            },
+            Outcome::Server(ServerOp::Dbsize) => command::dbsize(&self.proc, self.store, out),
             Outcome::Server(ServerOp::Bgsave) => match self.bgsave() {
                 Ok(()) => out.simple(command::BGSAVE_STARTED),
                 Err(e) => command::vm_error(e, out),

@@ -409,9 +409,9 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// One key-value mutation in a durable-store workload script.
 ///
-/// Mirrors `odf_kvstore::Command` but stays independent of it so the
-/// crash-injection oracle can model the store without importing its
-/// implementation.
+/// Stays independent of the store's command table so the crash-injection
+/// oracle can model the store without importing its implementation; the
+/// harness sends each op as the RESP command [`KvOp::argv`] spells.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KvOp {
     /// `SET key value`.
@@ -439,6 +439,18 @@ pub enum KvOp {
         /// Appended bytes.
         suffix: Vec<u8>,
     },
+}
+
+impl KvOp {
+    /// The op as a command's argument vector (`argv[0]` is its name).
+    pub fn argv(&self) -> Vec<&[u8]> {
+        match self {
+            KvOp::Set { key, value } => vec![b"SET", key, value],
+            KvOp::Del { key } => vec![b"DEL", key],
+            KvOp::Incr { key } => vec![b"INCR", key],
+            KvOp::Append { key, suffix } => vec![b"APPEND", key, suffix],
+        }
+    }
 }
 
 /// Generates a deterministic kv workload over a bounded key space.

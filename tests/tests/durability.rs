@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use odf_core::{ForkPolicy, Kernel};
 use odf_durability::{CrashFs, CrashMode, CrashPlan, FsError, FsyncPolicy, OpKind, WalConfig};
-use odf_kvstore::{DurableConfig, DurableServer, PersistError};
+use odf_kvstore::{DurableConfig, DurableServer, PersistError, ReplyBuf};
 use odf_tests::{kv_script, KvOp};
 use proptest::prelude::*;
 
@@ -134,15 +134,9 @@ fn run(fs: &Arc<CrashFs>, script: &[KvOp], cfg: DurableConfig) -> RunOutcome {
     };
     let mut acked = 0;
     for (i, op) in script.iter().enumerate() {
-        let res = match op {
-            KvOp::Set { key, value } => srv.set(key, value),
-            KvOp::Del { key } => srv.del(key),
-            KvOp::Incr { key } => srv.incr(key),
-            KvOp::Append { key, suffix } => srv.append(key, suffix),
-        };
-        match res {
+        match srv.execute(&op.argv(), &mut ReplyBuf::new()) {
             Ok(a) => {
-                if a.durable {
+                if a.is_some_and(|a| a.durable) {
                     acked = i + 1;
                 }
             }

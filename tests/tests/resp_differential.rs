@@ -1,22 +1,29 @@
-//! One command table, two wire paths.
+//! One command table, three wire paths.
 //!
 //! The same scripted command stream goes to the single-threaded
-//! [`Server`] through `serve_stream` and to a one-shard [`PerCoreServer`]
-//! through a [`Connection`]. Both execute through the crate's one command
+//! [`Server`] and the WAL-journaled [`DurableServer`] through
+//! `serve_stream`, and to a one-shard [`PerCoreServer`] through a
+//! [`Connection`]. All three execute through the crate's one command
 //! table, so every reply must be byte-identical — except the bodies of
 //! `INFO` and `STATS` (live kernel counters) and the `BGSAVE`
-//! acknowledgement, whose reply *type* must still match.
+//! acknowledgement, whose reply *type* must still match. The durable
+//! server is then reopened from its storage: replaying its WAL through
+//! the same table, failed `INCR` included, must rebuild the live store.
 //!
 //! The script covers every table entry, a wrong-arity case for each, an
 //! empty and an unknown command, a name longer than 16 bytes, and a
 //! 10-argument `PROBE ATTACH`. Its probe attaches to `wal_commit`, which
 //! nothing here fires, and it detaches everything it attaches, so the
-//! process-wide probe engine reads the same for both runs. The test ends
+//! process-wide probe engine reads the same for every run. The test ends
 //! with [`assert_pool_balanced`].
 
+use std::sync::Arc;
+
 use odf_core::{ForkPolicy, Kernel};
+use odf_durability::CrashFs;
 use odf_kvstore::{
-    encode_command, serve_stream, Connection, PerCoreConfig, PerCoreServer, Server, ServerConfig,
+    encode_command, serve_stream, Connection, DurableConfig, DurableServer, PerCoreConfig,
+    PerCoreServer, Server, ServerConfig,
 };
 use odf_pmem::assert_pool_balanced;
 
@@ -39,6 +46,8 @@ const SCRIPT: &[(&[&[u8]], Check)] = &[
     (&[b"PING"], Exact),
     (&[b"ping"], Exact),
     (&[b"PING", b"extra"], Exact),
+    (&[b"BGSAVE"], SameType),
+    (&[b"BGSAVE", b"SCHEDULE"], Exact),
     (&[b"SET", b"k", b"v"], Exact),
     (&[b"SET", b"k"], Exact),
     (&[b"GET", b"k"], Exact),
@@ -81,14 +90,12 @@ const SCRIPT: &[(&[&[u8]], Check)] = &[
     (&[b"PROBE", b"DETACH", b"d1"], Exact),
     (&[b"PROBE", b"DETACH", b"d1"], Exact),
     (&[b"PROBE", b"READ", b"d1"], Exact),
-    (&[b"BGSAVE"], SameType),
-    (&[b"BGSAVE", b"SCHEDULE"], Exact),
     (&[b"FLUSHALL"], Exact),
     (&[b"A-COMMAND-NAME-LONGER-THAN-16-BYTES"], Exact),
 ];
 
 /// One reply per scripted command, through `serve_stream`.
-fn run_plain(kernel: &std::sync::Arc<Kernel>) -> Vec<Vec<u8>> {
+fn run_plain(kernel: &Arc<Kernel>) -> Vec<Vec<u8>> {
     let mut server = Server::new(
         kernel,
         ServerConfig {
@@ -108,7 +115,7 @@ fn run_plain(kernel: &std::sync::Arc<Kernel>) -> Vec<Vec<u8>> {
 }
 
 /// One reply per scripted command, through a one-shard per-core server.
-fn run_percore(kernel: &std::sync::Arc<Kernel>) -> Vec<Vec<u8>> {
+fn run_percore(kernel: &Arc<Kernel>) -> Vec<Vec<u8>> {
     let mut server = PerCoreServer::new(
         kernel,
         PerCoreConfig {
@@ -134,18 +141,51 @@ fn run_percore(kernel: &std::sync::Arc<Kernel>) -> Vec<Vec<u8>> {
     replies
 }
 
+/// One reply per scripted command, through `serve_stream` on a durable
+/// server; then reopens it and checks that recovery rebuilds the live
+/// store.
+fn run_durable(kernel: &Arc<Kernel>) -> Vec<Vec<u8>> {
+    let fs = Arc::new(CrashFs::new());
+    let config = DurableConfig {
+        heap_capacity: 8 * MIB,
+        ..DurableConfig::default()
+    };
+    let (mut server, _) = DurableServer::open(kernel, fs.clone(), config).unwrap();
+    let replies = SCRIPT
+        .iter()
+        .map(|(cmd, _)| serve_stream(&mut server, &encode_command(cmd)))
+        .collect();
+    let live = server.dump().unwrap();
+    drop(server);
+    let (recovered, report) = DurableServer::open(kernel, fs, config).unwrap();
+    // The writes after the script's BGSAVE, each with valid arity:
+    // SET k, APPEND k, INCR n twice, the failing INCR k, and DEL k twice.
+    assert_eq!(report.wal_records_to_replay, 7);
+    assert_eq!(
+        recovered.dump().unwrap(),
+        live,
+        "replay diverged from the live run"
+    );
+    replies
+}
+
 #[test]
 fn both_tiers_answer_the_command_table_identically() {
     let kernel = Kernel::new(256 * MIB);
     let baseline = kernel.machine().pool().balance();
     let plain = run_plain(&kernel);
     let percore = run_percore(&kernel);
-    for (((cmd, check), a), b) in SCRIPT.iter().zip(&plain).zip(&percore) {
+    let durable = run_durable(&kernel);
+    for (i, (cmd, check)) in SCRIPT.iter().enumerate() {
         let shown: Vec<_> = cmd.iter().map(|p| String::from_utf8_lossy(p)).collect();
-        let (a_text, b_text) = (String::from_utf8_lossy(a), String::from_utf8_lossy(b));
-        match check {
-            Exact => assert_eq!(a_text, b_text, "{shown:?}"),
-            SameType => assert_eq!(a.first(), b.first(), "{shown:?}: {a_text} vs {b_text}"),
+        let a = &plain[i];
+        let a_text = String::from_utf8_lossy(a);
+        for b in [&percore[i], &durable[i]] {
+            let b_text = String::from_utf8_lossy(b);
+            match check {
+                Exact => assert_eq!(a_text, b_text, "{shown:?}"),
+                SameType => assert_eq!(a.first(), b.first(), "{shown:?}: {a_text} vs {b_text}"),
+            }
         }
         assert!(!a.is_empty(), "{shown:?} got no reply");
     }
